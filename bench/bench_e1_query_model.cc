@@ -12,8 +12,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include "exec/exec_context.h"
-#include "obs/metrics.h"
+#include "exec/operator.h"
 #include "query/query_engine.h"
 #include "workloads/bench_env.h"
 #include "workloads/workloads.h"
@@ -27,8 +26,8 @@ struct E1Fixture {
   VehicleSchema schema;
   std::unique_ptr<QueryEngine> engine;
 
-  explicit E1Fixture(size_t n_vehicles, size_t pool_pages = 8192) {
-    env = Env::Create(pool_pages);
+  explicit E1Fixture(size_t n_vehicles) {
+    env = Env::Create(/*pool_pages=*/8192);
     schema = CreateVehicleSchema(env->catalog.get());
     BENCH_ASSIGN(data, PopulateVehicles(env->store.get(), schema,
                                         /*n_companies=*/200, n_vehicles,
@@ -116,71 +115,21 @@ void BM_SingleClassScope_NestedPredicate(benchmark::State& state) {
   state.counters["results"] = static_cast<double>(results);
 }
 
-// Parallel extent scan vs the serial pipeline on the paper query, with a
-// pool far smaller than the extents so every iteration is a cold scan
-// (pages re-read through the CLOCK cache, predicate evaluated per object).
-// range(0) = fleet size, range(1) = scan workers.
-void BM_ParallelScan_PaperQuery(benchmark::State& state) {
-  E1Fixture f(static_cast<size_t>(state.range(0)), /*pool_pages=*/512);
-  Query q = f.PaperQuery(true);
-  size_t workers = static_cast<size_t>(state.range(1));
-  size_t results = 0;
-  uint64_t scanned = 0;
-  uint64_t total_scanned = 0;
-
-  // Registry diff across the whole run: physical I/O per logical object
-  // scanned. Collectors read the pool's own counters at snapshot time, so
-  // the measured loop pays nothing for this.
-  obs::MetricsRegistry reg;
-  BufferPool* bp = f.env->bp.get();
-  reg.RegisterCollector("bufferpool.hits", [bp] { return bp->stats().hits; });
-  reg.RegisterCollector("bufferpool.misses",
-                        [bp] { return bp->stats().misses; });
-  reg.RegisterCollector("bufferpool.disk_reads",
-                        [bp] { return bp->stats().disk_reads; });
-  obs::MetricsSnapshot before = reg.TakeSnapshot();
-
-  for (auto _ : state) {
-    exec::ExecContext ctx(f.env->bp.get());
-    ctx.set_scan_parallelism(workers);
-    BENCH_ASSIGN(hits, f.engine->Execute(q, &ctx));
-    results = hits.size();
-    scanned = ctx.objects_scanned.load();
-    total_scanned += scanned;
-    benchmark::DoNotOptimize(hits);
-  }
-
-  obs::MetricsSnapshot diff =
-      obs::MetricsRegistry::Diff(before, reg.TakeSnapshot());
-  double pages = static_cast<double>(diff.Value("bufferpool.hits") +
-                                     diff.Value("bufferpool.misses"));
-  state.counters["results"] = static_cast<double>(results);
-  state.counters["scanned"] = static_cast<double>(scanned);
-  state.counters["workers"] = static_cast<double>(workers);
-  state.counters["pages_per_object"] =
-      total_scanned > 0 ? pages / static_cast<double>(total_scanned) : 0.0;
-  state.counters["disk_reads"] =
-      static_cast<double>(diff.Value("bufferpool.disk_reads"));
-}
-
-// Batch-at-a-time vs row-at-a-time on the 100k hierarchy scan: the same
-// serial pipeline, with NextBatch moving ~256 rows per operator call
-// instead of one. range(0) = fleet size, range(1) = batch size (1 == the
-// row-at-a-time baseline).
+// The 100k hierarchy scan through the batched pipeline (exec::kBatchSize
+// rows per NextBatch). range(0) = fleet size; range(1) records the batch
+// size so the run keeps the name of its earlier batch-size sweep.
 void BM_Scan_BatchSize(benchmark::State& state) {
   E1Fixture f(static_cast<size_t>(state.range(0)));
   Query q = f.SimpleQuery(true);
-  size_t batch = static_cast<size_t>(state.range(1));
   size_t results = 0;
   for (auto _ : state) {
     exec::ExecContext ctx(f.env->bp.get());
-    ctx.set_batch_size(batch);
     BENCH_ASSIGN(hits, f.engine->Execute(q, &ctx));
     results = hits.size();
     benchmark::DoNotOptimize(hits);
   }
   state.counters["results"] = static_cast<double>(results);
-  state.counters["batch"] = static_cast<double>(batch);
+  state.counters["batch"] = static_cast<double>(exec::kBatchSize);
 }
 
 BENCHMARK(BM_SingleClassScope_Simple)->Arg(1000)->Arg(10000)
@@ -191,14 +140,8 @@ BENCHMARK(BM_SingleClassScope_NestedPredicate)->Arg(1000)->Arg(10000)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_HierarchyScope_NestedPredicate)->Arg(1000)->Arg(10000)
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ParallelScan_PaperQuery)
-    ->Args({100000, 1})
-    ->Args({100000, 2})
-    ->Args({100000, 4})
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Scan_BatchSize)
-    ->Args({100000, 1})
-    ->Args({100000, 256})
+    ->Args({100000, exec::kBatchSize})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -4,9 +4,9 @@
 # (BENCH_pr<N>.json) so future PRs can diff against a recorded baseline
 # instead of prose numbers in commit messages.
 #
-# Covered surfaces: E1 extent scan (query model) plus the batch-at-a-time
-# vs row-at-a-time scan pair, E2 class-hierarchy index lookups, E3 nested
-# index / residual-fetch batched-vs-row pair, E4 traversal / cached
+# Covered surfaces: E1 extent scans (query model) plus the 100k batched
+# hierarchy scan, E2 class-hierarchy index lookups, E3 nested index and
+# the batched residual-fetch pipeline, E4 traversal / cached
 # point gets (object cache A/B), E5 durable commit throughput (untraced
 # and with the flight recorder armed -- the delta is the tracing
 # overhead), E7 lock granularity / per-class writer scaling, E12 OQL vs
@@ -55,19 +55,19 @@ run_bench() {
   fi
 }
 
-run_bench bench_e1_query_model    "${KIMDB_BENCH_FILTER_E1:-(BM_SingleClassScope_Simple|BM_ParallelScan_PaperQuery)}"
-# Batched-vs-row pairs (E1 scan, E3 residual fetch): recorded with
-# repetitions + random interleaving so a noisy host cannot flip the
-# comparison -- the medians are the numbers DESIGN.md §16 quotes.
-PAIR_ARGS=(--benchmark_repetitions=5 --benchmark_enable_random_interleaving=true
-           --benchmark_report_aggregates_only=true)
-run_bench bench_e1_query_model    "BM_Scan_BatchSize" bench_e1_batch_pair "${PAIR_ARGS[@]}"
+run_bench bench_e1_query_model    "${KIMDB_BENCH_FILTER_E1:-(BM_SingleClassScope_Simple|BM_HierarchyScope_NestedPredicate)}"
+# Batched pipelines (E1 100k scan, E3 residual fetch): recorded with
+# repetitions + random interleaving so one noisy run cannot move the
+# median -- the medians are the numbers DESIGN.md §16 quotes.
+REP_ARGS=(--benchmark_repetitions=5 --benchmark_enable_random_interleaving=true
+          --benchmark_report_aggregates_only=true)
+run_bench bench_e1_query_model    "BM_Scan_BatchSize" bench_e1_batched_scan "${REP_ARGS[@]}"
 # E2/E3: the plan shapes the cost-based optimizer pins (class-hierarchy
-# index lookup, nested index + residual), with the E3 batched-vs-row
-# residual-fetch pair quantifying the NextBatch protocol.
+# index lookup, nested index + residual), with the E3 residual-fetch
+# pipeline timing the batched Filter's late materialization.
 run_bench bench_e2_ch_index       "${KIMDB_BENCH_FILTER_E2:-BM_Lookup_ClassHierarchyIndex}"
 run_bench bench_e3_nested_index   "${KIMDB_BENCH_FILTER_E3:-BM_NestedIndex/}"
-run_bench bench_e3_nested_index   "BM_NestedIndexResidual_BatchSize" bench_e3_batch_pair "${PAIR_ARGS[@]}"
+run_bench bench_e3_nested_index   "BM_NestedIndexResidual_BatchSize" bench_e3_residual_fetch "${REP_ARGS[@]}"
 # E12: OQL against its relational equivalents -- the optimizer's eq-vs-
 # range and index-vs-scan pricing plays out on this fleet.
 run_bench bench_e12_oql_vs_rel    "${KIMDB_BENCH_FILTER_E12:-(BM_OqlWithIndexes|BM_OqlExtentScan|BM_RelIndexedJoinPlan)}"

@@ -45,7 +45,7 @@ required = [
     "objectstore.cache_evictions", "objectstore.cache_invalidations",
     "objectstore.get_ns", "objectstore.class_write_waits",
     "query.executed", "query.objects_scanned", "query.index_probes",
-    "query.predicates_evaluated", "query.pages_hit", "query.trace_dropped",
+    "query.predicates_evaluated", "query.pages_hit",
     "query.exec_ns",
     "optimizer.plans_considered", "optimizer.index_plans_chosen",
     "optimizer.cost_based_plans", "optimizer.analyze_runs",

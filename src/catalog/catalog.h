@@ -169,7 +169,7 @@ class Catalog {
   AttrId next_attr_id_ = 1;
   std::atomic<uint64_t> schema_version_{0};
   /// Leaf lock for the lazily-built resolved views: concurrent readers
-  /// (parallel scan workers, shared-lock Gets) race to fill
+  /// (concurrent scans, shared-lock Gets) race to fill
   /// resolved_cache_. Schema *mutation* concurrent with readers is not
   /// supported (pointer-stability contract above), only reads racing
   /// reads.

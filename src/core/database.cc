@@ -324,7 +324,6 @@ void Database::WireMetrics() {
   m.GetCounter("query.obj_cache_misses");
   m.GetCounter("query.pages_hit");
   m.GetCounter("query.pages_missed");
-  m.GetCounter("query.trace_dropped");
 
   // Optimizer outcomes, pushed per execution like the query.* counters.
   // est_rows_error_pct records |estimated - actual| / actual per cost-based
@@ -371,7 +370,6 @@ void Database::FlushQueryMetrics(const exec::ExecContext& ctx) {
       ->Inc(ctx.obj_cache_misses.load(kRelaxed));
   m.GetCounter("query.pages_hit")->Inc(ctx.pages_hit());
   m.GetCounter("query.pages_missed")->Inc(ctx.pages_missed());
-  m.GetCounter("query.trace_dropped")->Inc(ctx.trace_dropped());
   m.GetCounter("optimizer.plans_considered")
       ->Inc(ctx.plans_considered.load(kRelaxed));
   m.GetCounter("optimizer.index_plans_chosen")

@@ -5,10 +5,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "model/object.h"
 #include "obs/trace.h"
@@ -18,17 +15,19 @@
 namespace kimdb {
 namespace exec {
 
-/// Per-query execution state shared by every operator in a plan tree -- and
-/// by every worker thread of a parallel operator, which is why all counters
-/// are atomics. One ExecContext unifies what used to be three disjoint
-/// stats surfaces (QueryStats, BufferPoolStats deltas, ad-hoc bench
-/// counters), so the OODB engine, the relational comparator and the
-/// benchmarks all report physical and logical work the same way.
+/// Per-query execution state shared by every operator in a plan tree. The
+/// counters are atomics so another thread (a metrics reader, a canceller)
+/// may observe them while the query runs. One ExecContext unifies what
+/// used to be three disjoint stats surfaces (QueryStats, BufferPoolStats
+/// deltas, ad-hoc bench counters), so the OODB engine, the relational
+/// comparator and the benchmarks all report physical and logical work the
+/// same way.
 ///
 /// Also carries the cross-cutting execution controls: a wall-clock budget /
-/// cancellation flag that long scans poll, an optional trace buffer
-/// operators append lifecycle events to, and the EXPLAIN ANALYZE switch
-/// that arms per-operator span accounting (see Operator::stats()).
+/// cancellation flag that long scans poll, the batch-scoped path-hop memo,
+/// and the EXPLAIN ANALYZE switch that arms per-operator span accounting
+/// (see Operator::stats()). Operator lifecycle events go to the flight
+/// recorder (set_recorder).
 class ExecContext {
  public:
   ExecContext() = default;
@@ -55,7 +54,7 @@ class ExecContext {
   std::atomic<bool> used_index{false};
 
   // --- optimizer outcome (set once by QueryEngine::Execute, read by the
-  // metrics flush; never touched by workers) --------------------------------
+  // metrics flush) ----------------------------------------------------------
 
   std::atomic<uint64_t> plans_considered{0};  // candidates Plan() enumerated
   std::atomic<uint64_t> index_plans_chosen{0};
@@ -63,26 +62,6 @@ class ExecContext {
   std::atomic<uint64_t> plan_est_rows{0};     // winning plan's estimate
   std::atomic<bool> plan_has_estimate{false};
   std::atomic<uint64_t> result_rows{0};       // actual result cardinality
-
-  /// Adds this context's logical counters into `dst`. Parallel workers
-  /// accumulate on a private shadow context and flush once on exit --
-  /// per-object fetch_adds on the shared context from several threads
-  /// ping-pong the counter cache lines hard enough to erase the scan
-  /// speedup.
-  void FlushCountersInto(ExecContext* dst) const {
-    constexpr auto kRelaxed = std::memory_order_relaxed;
-    dst->objects_scanned.fetch_add(objects_scanned.load(kRelaxed), kRelaxed);
-    dst->objects_fetched.fetch_add(objects_fetched.load(kRelaxed), kRelaxed);
-    dst->index_candidates.fetch_add(index_candidates.load(kRelaxed), kRelaxed);
-    dst->index_probes.fetch_add(index_probes.load(kRelaxed), kRelaxed);
-    dst->predicates_evaluated.fetch_add(predicates_evaluated.load(kRelaxed),
-                                        kRelaxed);
-    dst->ref_fetches.fetch_add(ref_fetches.load(kRelaxed), kRelaxed);
-    dst->tuples_scanned.fetch_add(tuples_scanned.load(kRelaxed), kRelaxed);
-    dst->obj_cache_hits.fetch_add(obj_cache_hits.load(kRelaxed), kRelaxed);
-    dst->obj_cache_misses.fetch_add(obj_cache_misses.load(kRelaxed), kRelaxed);
-    if (used_index.load(kRelaxed)) dst->used_index.store(true, kRelaxed);
-  }
 
   // --- physical counters (buffer-pool delta) -------------------------------
 
@@ -116,7 +95,7 @@ class ExecContext {
 
   /// Arms a wall-clock budget measured from now. A zero duration makes the
   /// very next CheckBudget() fail (useful for cancellation tests). May be
-  /// called again to re-arm while workers poll CheckBudget concurrently:
+  /// called again to re-arm while other threads poll CheckBudget:
   /// the deadline itself is atomic, so readers see either the old or the
   /// new deadline, never a torn time_point.
   void set_budget(std::chrono::nanoseconds budget) {
@@ -154,8 +133,7 @@ class ExecContext {
   /// Arms multiversion visibility: every operator in the plan resolves each
   /// OID to the newest committed version <= read_ts instead of trusting the
   /// raw heap image. The caller (QueryEngine::Execute) owns the underlying
-  /// Snapshot pin; the context only carries the timestamp. Parallel scans
-  /// copy it onto their worker shadow contexts.
+  /// Snapshot pin; the context only carries the timestamp.
   void set_snapshot(uint64_t read_ts) {
     snapshot_ts_ = read_ts;
     snapshot_active_ = true;
@@ -169,36 +147,16 @@ class ExecContext {
   bool snapshot_active() const { return snapshot_active_; }
   uint64_t snapshot_ts() const { return snapshot_ts_; }
 
-  // --- scan parallelism knob ----------------------------------------------
-
-  /// Worker count the lowering uses for extent scans; 1 (default) lowers
-  /// to the serial ExtentScan/HierarchyScan operators.
-  void set_scan_parallelism(size_t n) { scan_parallelism_ = n == 0 ? 1 : n; }
-  size_t scan_parallelism() const { return scan_parallelism_; }
-
-  // --- batch size knob ------------------------------------------------------
-
-  /// Rows exchanged per Operator::NextBatch call. The default (256) is
-  /// small enough that a batch of decoded objects stays cache-resident and
-  /// large enough to amortize virtual dispatch, span accounting, and
-  /// budget polling. 1 degrades to row-at-a-time (the bench baseline).
-  static constexpr size_t kDefaultBatchSize = 256;
-  void set_batch_size(size_t n) { batch_size_ = n == 0 ? 1 : n; }
-  size_t batch_size() const { return batch_size_; }
-
   // --- per-batch path-hop memo ----------------------------------------------
 
   /// Batch-scoped memo for path-expression hops (ref Oid -> resident
   /// image). A 256-row batch of Vehicles typically dereferences only a
   /// handful of distinct Companies, so memoizing within the batch turns
-  /// ~256 shared-cache lookups into ~10. Armed only in batch mode
-  /// (batch_size > 1); the Filter clears it at every batch boundary, so
-  /// an entry lives for one slab and row-at-a-time reads stay untouched.
-  /// Not thread-safe by design: parallel-scan workers evaluate predicates
-  /// on private shadow contexts, each with its own memo (capped, since
-  /// workers have no batch boundary to clear at).
+  /// ~256 shared-cache lookups into ~10. The Filter clears it at every
+  /// batch boundary, so an entry lives for one slab; the size cap bounds
+  /// predicate evaluations that run outside a Filter. Not thread-safe:
+  /// only the thread driving the tree evaluates predicates.
   static constexpr size_t kMaxHopMemo = 1024;
-  bool hop_memo_active() const { return batch_size_ > 1; }
   const std::shared_ptr<const Object>* LookupHop(Oid oid) const {
     auto it = hop_memo_.find(oid);
     return it == hop_memo_.end() ? nullptr : &it->second;
@@ -213,7 +171,7 @@ class ExecContext {
 
   /// Arms per-operator span accounting (rows/loops/time/pages in
   /// Operator::stats()). Off by default: the un-armed overhead in each
-  /// Next call is a single relaxed load.
+  /// lifecycle call is a single relaxed load.
   void EnableAnalyze() {
     analyze_enabled_.store(true, std::memory_order_relaxed);
   }
@@ -231,55 +189,20 @@ class ExecContext {
   void set_recorder(obs::FlightRecorder* r) { recorder_ = r; }
   obs::FlightRecorder* recorder() const { return recorder_; }
 
-  // --- per-query trace buffer ---------------------------------------------
-
-  /// Hard cap on buffered trace events: tracing a 100k-object scan must
-  /// not balloon memory. Overflow increments trace_dropped() instead.
-  static constexpr size_t kMaxTraceEvents = 1024;
-
-  void EnableTrace() { trace_enabled_.store(true, std::memory_order_release); }
-  bool trace_enabled() const {
-    return trace_enabled_.load(std::memory_order_acquire);
-  }
-  /// Appends one event line; no-op unless tracing is enabled. Events past
-  /// kMaxTraceEvents are counted, not stored.
-  void Trace(std::string line) {
-    if (!trace_enabled()) return;
-    std::lock_guard<std::mutex> lock(trace_mu_);
-    if (trace_.size() >= kMaxTraceEvents) {
-      trace_dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    trace_.push_back(std::move(line));
-  }
-  std::vector<std::string> TraceLines() const {
-    std::lock_guard<std::mutex> lock(trace_mu_);
-    return trace_;
-  }
-  uint64_t trace_dropped() const {
-    return trace_dropped_.load(std::memory_order_relaxed);
-  }
-
  private:
   BufferPool* bp_ = nullptr;
   BufferPoolStats baseline_{};
   obs::FlightRecorder* recorder_ = nullptr;
-  size_t scan_parallelism_ = 1;
-  size_t batch_size_ = kDefaultBatchSize;
   std::unordered_map<Oid, std::shared_ptr<const Object>> hop_memo_;
-  // Set once before execution starts (no atomics needed: workers only read).
+  // Set once before execution starts.
   bool snapshot_active_ = false;
   uint64_t snapshot_ts_ = 0;
   std::atomic<bool> has_deadline_{false};
   // steady_clock ticks since epoch; atomic because set_budget may re-arm
-  // while parallel scan workers read it through CheckBudget.
+  // while another thread reads it through CheckBudget.
   std::atomic<std::chrono::steady_clock::rep> deadline_ns_{0};
   std::atomic<bool> cancelled_{false};
   std::atomic<bool> analyze_enabled_{false};
-  std::atomic<bool> trace_enabled_{false};
-  std::atomic<uint64_t> trace_dropped_{0};
-  mutable std::mutex trace_mu_;
-  std::vector<std::string> trace_;
 };
 
 }  // namespace exec

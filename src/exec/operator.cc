@@ -79,33 +79,12 @@ std::string ExplainAnalyzeTree(const Operator& root) {
   return Render(root, /*analyze=*/true);
 }
 
-Status ForEachRow(Operator& root, ExecContext* ctx,
-                  const std::function<Status(Row&)>& fn) {
-  Status st = root.Open(ctx);
-  if (st.ok()) {
-    Row row;
-    while (true) {
-      Result<bool> more = root.Next(ctx, &row);
-      if (!more.ok()) {
-        st = more.status();
-        break;
-      }
-      if (!*more) break;
-      st = fn(row);
-      if (!st.ok()) break;
-    }
-  }
-  root.Close(ctx);
-  return st;
-}
-
 Status ForEachRowBatched(Operator& root, ExecContext* ctx,
                          const std::function<Status(Row&)>& fn) {
-  if (ctx->batch_size() <= 1) return ForEachRow(root, ctx, fn);
   Status st = root.Open(ctx);
   if (st.ok()) {
     std::vector<Row> batch;
-    batch.reserve(ctx->batch_size());
+    batch.reserve(kBatchSize);
     while (true) {
       Result<size_t> n = root.NextBatch(ctx, &batch);
       if (!n.ok()) {

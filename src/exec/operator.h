@@ -18,41 +18,43 @@
 namespace kimdb {
 namespace exec {
 
+/// Rows an operator produces per NextBatch call. Small enough that a batch
+/// of decoded objects stays cache-resident, large enough to amortize the
+/// virtual dispatch, span accounting and budget poll of one call.
+inline constexpr size_t kBatchSize = 256;
+
 /// One row flowing through an operator tree. Object-model operators fill
 /// `oid` (and `obj` when the producer already materialized the object, so
 /// consumers never re-fetch what a scan just decoded); relational operators
 /// fill `tuple`. A Row is cheap to move, never to copy implicitly.
 ///
-/// Batched execution late-materializes: a batched Filter over index
-/// candidates evaluates its predicate against the shared resident image
-/// and emits the row with `obj` still empty (batch consumers read OIDs).
-/// The row-at-a-time path keeps its materialize-on-pass contract.
+/// Execution late-materializes: a Filter over index candidates evaluates
+/// its predicate against the shared resident image, and a scan with a
+/// fused predicate evaluates it inside its page buffer; both emit the row
+/// with `obj` still empty (consumers of filtered rows read OIDs).
 struct Row {
   Oid oid = kNilOid;
-  std::optional<Object> obj;        // set by extent scans, not index scans
+  std::optional<Object> obj;        // set by unfiltered extent scans
   std::vector<Value> tuple;         // set by relational operators
 };
 
 /// Predicate hook the query layer injects into Filter / scans.
 /// Implemented by QueryEngine::Matches (path semantics, late-bound method
 /// calls); kept as a std::function so the exec layer does not depend on
-/// the query layer. Must be thread-safe: parallel scans evaluate it from
-/// several workers at once, each accounting on a private shadow
-/// ExecContext that is flushed into the query's context when the worker
-/// finishes (see ExecContext::FlushCountersInto).
+/// the query layer. Called on the thread that drives the tree; it
+/// accounts its work (and memoizes path hops) on the passed context.
 using MatchFn = std::function<Result<bool>(const Object&, ExecContext*)>;
 
 /// Per-operator EXPLAIN ANALYZE span, filled only while the context's
 /// analyze flag is armed. Time and pages are *inclusive* of children (a
-/// parent's Next drives its child's Next inside the measured window), like
-/// the "actual time" column of the classical EXPLAIN ANALYZE renderers.
-/// Plain fields: every wrapper call happens on the tree's consumer thread
-/// (parallel scan workers communicate through the row queue and never call
-/// operator methods), so no atomics are needed.
+/// parent's NextBatch drives its child's NextBatch inside the measured
+/// window), like the "actual time" column of the classical EXPLAIN ANALYZE
+/// renderers. Plain fields: every lifecycle call happens on the thread
+/// that drives the tree.
 struct OpStats {
   uint64_t rows = 0;         // rows this operator produced
-  uint64_t loops = 0;        // Next calls, including the end-of-stream one
-  uint64_t time_ns = 0;      // wall time inside Open+Next+Close
+  uint64_t loops = 0;        // NextBatch calls, including the final empty one
+  uint64_t time_ns = 0;      // wall time inside Open+NextBatch+Close
   uint64_t pages_hit = 0;    // buffer-pool hits during those calls
   uint64_t pages_missed = 0; // buffer-pool misses during those calls
   uint64_t pages_readahead = 0;  // hits served from a prefetched frame
@@ -60,14 +62,15 @@ struct OpStats {
   uint64_t obj_cache_misses = 0; // Gets that decoded from the heap
 };
 
-/// Pull-based (Volcano) operator: Open prepares state, Next produces rows
-/// one at a time until it returns false, Close releases resources. The
-/// same ExecContext is threaded through all three calls and shared by the
-/// whole tree; operators account their work on its counters.
+/// Pull-based (Volcano) operator, batch at a time: Open prepares state,
+/// NextBatch produces slabs of up to kBatchSize rows until it returns 0,
+/// Close releases resources. The same ExecContext is threaded through all
+/// three calls and shared by the whole tree; operators account their work
+/// on its counters.
 ///
-/// Lifecycle contract: Open exactly once, Next until false/error, Close
+/// Lifecycle contract: Open exactly once, NextBatch until 0/error, Close
 /// exactly once (also after an error -- drivers must always Close so
-/// parallel operators can join their workers).
+/// operators release their buffers and children).
 ///
 /// The public lifecycle methods are non-virtual instrumentation shells
 /// around the virtual *Impl hooks subclasses provide: when the context has
@@ -84,28 +87,15 @@ class Operator {
     return OpenImpl(ctx);
   }
 
-  /// Fills *row and returns true, or returns false at end of stream.
-  Result<bool> Next(ExecContext* ctx, Row* row) {
-    if (!ctx->analyze_enabled()) return NextImpl(ctx, row);
-    Span span(this, ctx);
-    Result<bool> more = NextImpl(ctx, row);
-    ++stats_.loops;
-    if (more.ok() && *more) ++stats_.rows;
-    return more;
-  }
-
-  /// Batch-at-a-time pull: clears `*out`, fills it with up to
-  /// ctx->batch_size() rows, and returns the count -- 0 means end of
-  /// stream (a non-empty batch may be short of the target; only 0 ends
-  /// the stream). One NextBatch call pays the virtual dispatch, span
-  /// accounting and budget poll that row-at-a-time pays per row.
+  /// Clears `*out`, fills it with up to kBatchSize rows, and returns the
+  /// count -- 0 means end of stream (a non-empty batch may be short of
+  /// kBatchSize; only 0 ends the stream).
   Result<size_t> NextBatch(ExecContext* ctx, std::vector<Row>* out) {
     out->clear();
-    const size_t max = ctx->batch_size();
-    if (!ctx->analyze_enabled()) return NextBatchImpl(ctx, out, max);
+    if (!ctx->analyze_enabled()) return NextBatchImpl(ctx, out);
     Span span(this, ctx);
-    Result<size_t> n = NextBatchImpl(ctx, out, max);
-    ++stats_.loops;  // loops counts NextBatch calls in batch mode
+    Result<size_t> n = NextBatchImpl(ctx, out);
+    ++stats_.loops;
     if (n.ok()) stats_.rows += *n;
     return n;
   }
@@ -120,13 +110,11 @@ class Operator {
     RecordLifecycle(ctx, obs::TraceEventKind::kEnd);
   }
 
-  /// Batched scan+filter fusion: a parent Filter offers its predicate so
-  /// the scan can apply it inside NextBatchImpl, before a non-matching
-  /// object is ever moved out of the decoded page buffer (the batched
-  /// sibling of ParallelExtentScan's constructor-time pushdown). Returns
-  /// true iff this operator -- and, for composites, every child -- will
-  /// filter the rows it emits from NextBatchImpl. Row-at-a-time Next is
-  /// never affected; `pred` must outlive the operator's open lifecycle.
+  /// Scan+filter fusion: a parent Filter offers its predicate so the scan
+  /// can apply it inside NextBatchImpl, before a non-matching object is
+  /// ever moved out of the decoded page buffer. Returns true iff this
+  /// operator -- and, for composites, every child -- will filter the rows
+  /// it emits. `pred` must outlive the operator's open lifecycle.
   virtual bool AcceptBatchResidual(const MatchFn* pred) {
     (void)pred;
     return false;
@@ -155,28 +143,17 @@ class Operator {
 
  protected:
   virtual Status OpenImpl(ExecContext* ctx) = 0;
-  virtual Result<bool> NextImpl(ExecContext* ctx, Row* row) = 0;
+  /// Appends at most kBatchSize rows to `out` (which arrives empty) and
+  /// returns out->size(); 0 ends the stream.
+  virtual Result<size_t> NextBatchImpl(ExecContext* ctx,
+                                       std::vector<Row>* out) = 0;
   virtual void CloseImpl(ExecContext* ctx) = 0;
-
-  /// Default batching: drain NextImpl row by row. Operators with cheaper
-  /// bulk paths (page buffers, candidate vectors, drain queues) override.
-  /// `out` arrives empty; implementations append at most `max` rows.
-  virtual Result<size_t> NextBatchImpl(ExecContext* ctx, std::vector<Row>* out,
-                                       size_t max) {
-    Row row;
-    while (out->size() < max) {
-      KIMDB_ASSIGN_OR_RETURN(bool more, NextImpl(ctx, &row));
-      if (!more) break;
-      out->push_back(std::move(row));
-      row = Row{};
-    }
-    return out->size();
-  }
 
  private:
   /// Emits the operator's open/close boundary into the flight recorder
-  /// (kExecOp; arg tags the operator so a dump can pair B/E events). Next
-  /// is deliberately not traced -- per-row events would flood the ring.
+  /// (kExecOp; arg tags the operator so a dump can pair B/E events).
+  /// NextBatch is deliberately not traced -- per-batch events would flood
+  /// the ring.
   void RecordLifecycle(ExecContext* ctx, obs::TraceEventKind kind) {
     obs::FlightRecorder* r = ctx->recorder();
     if (r == nullptr) return;
@@ -241,14 +218,8 @@ std::string ExplainTree(const Operator& root);
 /// under a context with EnableAnalyze().
 std::string ExplainAnalyzeTree(const Operator& root);
 
-/// Drives a tree to completion, handing every row to `fn`. Always Closes,
-/// including on error paths.
-Status ForEachRow(Operator& root, ExecContext* ctx,
-                  const std::function<Status(Row&)>& fn);
-
-/// Batch-at-a-time driver: pulls ctx->batch_size() rows per NextBatch and
-/// hands them to `fn` one by one. Degrades to ForEachRow when the batch
-/// size is 1. Always Closes, including on error paths.
+/// Drives a tree to completion a batch at a time, handing every row to
+/// `fn`. Always Closes, including on error paths.
 Status ForEachRowBatched(Operator& root, ExecContext* ctx,
                          const std::function<Status(Row&)>& fn);
 

@@ -676,24 +676,6 @@ Status ObjectStore::ForEachInClassOnPage(
   return Status::OK();
 }
 
-Status ObjectStore::ForEachInClassPartitioned(
-    ClassId cls, size_t n_partitions, size_t partition,
-    const std::function<Status(const Object&)>& fn) const {
-  if (n_partitions == 0 || partition >= n_partitions) {
-    return Status::InvalidArgument("bad scan partition index");
-  }
-  KIMDB_ASSIGN_OR_RETURN(std::vector<PageId> pages, ExtentPages(cls));
-  // Contiguous ranges keep each worker's page reads physically local.
-  size_t chunk = (pages.size() + n_partitions - 1) / n_partitions;
-  size_t begin = partition * chunk;
-  size_t end = std::min(pages.size(), begin + chunk);
-  auto call = [&fn](Object& obj) -> Status { return fn(obj); };
-  for (size_t i = begin; i < end; ++i) {
-    KIMDB_RETURN_IF_ERROR(ForEachInClassOnPage(cls, pages[i], call));
-  }
-  return Status::OK();
-}
-
 Status ObjectStore::ForEachInHierarchy(
     ClassId cls, const std::function<Status(const Object&)>& fn) const {
   for (ClassId c : catalog_->Subtree(cls)) {

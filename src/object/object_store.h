@@ -64,8 +64,7 @@ Result<Object> BuildObject(
 /// snapshot the page list and take the class-SHARED latch only for the
 /// per-page byte copy (writers rewrite records in place on the buffer
 /// frame, so an unlatched decode could tear) -- decode and callbacks run
-/// off-latch, so concurrent scans and parallel-scan workers never
-/// serialize on the store. The
+/// off-latch, so concurrent scans never serialize on the store. The
 /// object directory is sharded by OID under its own leaf mutexes. Get()
 /// is fronted by a bounded deserialized-object cache (`object_cache()`);
 /// a capacity of 0 restores the decode-per-read behavior. Fine-grained
@@ -173,24 +172,17 @@ class ObjectStore {
   uint64_t LiveCount(ClassId cls) const;
 
   /// Page ids of `cls`'s extent in chain order (empty if the extent was
-  /// never created). The page list is the unit of scan partitioning.
+  /// never created). The page list drives ExtentScan's page-at-a-time
+  /// decode and read-ahead.
   Result<std::vector<PageId>> ExtentPages(ClassId cls) const;
 
   /// Scans the records of `cls` stored on one extent page, with schema
   /// materialization. No latch is held across user callbacks, so
-  /// disjoint partitions can be scanned from several threads concurrently
-  /// (ParallelExtentScan). The callback receives a mutable reference to a
-  /// freshly decoded Object it may move from -- the decoded image is
-  /// per-call scratch, not shared state.
+  /// concurrent scans never serialize on the store. The callback receives
+  /// a mutable reference to a freshly decoded Object it may move from --
+  /// the decoded image is per-call scratch, not shared state.
   Status ForEachInClassOnPage(ClassId cls, PageId page,
                               const std::function<Status(Object&)>& fn) const;
-
-  /// Scans partition `partition` of `n_partitions` of `cls`'s extent.
-  /// Partitions are contiguous page ranges; they are disjoint and their
-  /// union is the whole extent as of the call.
-  Status ForEachInClassPartitioned(
-      ClassId cls, size_t n_partitions, size_t partition,
-      const std::function<Status(const Object&)>& fn) const;
 
   /// Raw extent scan: stored images with their physical addresses (used by
   /// the consistency checker and physical tooling). No schema

@@ -504,12 +504,11 @@ exec::MatchFn QueryEngine::MatchFnFor(ExprPtr pred) const {
   if (!pred) return nullptr;
   return [this, pred = std::move(pred)](
              const Object& obj, exec::ExecContext* ctx) -> Result<bool> {
-    // Matches accumulates into a thread-local QueryStats, flushed to the
-    // shared atomics afterwards, so parallel workers never contend on a
-    // plain struct. Visibility comes off the evaluating context: snapshot
-    // queries must also hop path expressions at their read timestamp.
-    ReadView view{ctx->snapshot_active(), ctx->snapshot_ts(),
-                  ctx->hop_memo_active() ? ctx : nullptr};
+    // Matches accumulates into a local QueryStats, flushed to the
+    // context's atomics afterwards. Visibility comes off the evaluating
+    // context: snapshot queries must also hop path expressions at their
+    // read timestamp, through the context's batch-scoped hop memo.
+    ReadView view{ctx->snapshot_active(), ctx->snapshot_ts(), ctx};
     QueryStats local;
     Result<bool> match = Matches(obj, pred, &local, view);
     ctx->predicates_evaluated.fetch_add(local.predicates_evaluated,
@@ -524,7 +523,7 @@ exec::MatchFn QueryEngine::MatchFnFor(ExprPtr pred) const {
 }
 
 Result<std::unique_ptr<exec::Operator>> QueryEngine::Lower(
-    const Query& q, const QueryPlan& plan, size_t parallelism,
+    const Query& q, const QueryPlan& plan,
     const exec::ExecContext* ctx) const {
   bool use_index = plan.index_scan;
   if (use_index && ctx != nullptr && ctx->snapshot_active() &&
@@ -582,19 +581,6 @@ Result<std::unique_ptr<exec::Operator>> QueryEngine::Lower(
   std::vector<ClassId> scope = q.hierarchy_scope
                                    ? cat.Subtree(q.target)
                                    : std::vector<ClassId>{q.target};
-  if (parallelism > 1) {
-    // Predicate pushdown: matching runs inside the scan workers, so result
-    // order is nondeterministic (the set is unchanged).
-    std::vector<std::pair<ClassId, std::string>> classes;
-    classes.reserve(scope.size());
-    for (ClassId c : scope) classes.emplace_back(c, name_of(c));
-    std::unique_ptr<exec::Operator> pscan =
-        std::make_unique<exec::ParallelExtentScan>(
-            store_, std::move(classes), parallelism, MatchFnFor(q.predicate),
-            q.predicate ? q.predicate->ToString() : "");
-    if (annotate) pscan->SetEstimates(plan.est_rows, plan.est_cost);
-    return pscan;
-  }
   std::unique_ptr<exec::Operator> scan;
   if (q.hierarchy_scope) {
     std::vector<std::unique_ptr<exec::ExtentScan>> extents;
@@ -664,7 +650,7 @@ Result<std::vector<Oid>> QueryEngine::Execute(const Query& q,
   KIMDB_ASSIGN_OR_RETURN(QueryPlan plan, Plan(q));
   RecordPlanOutcome(plan, ctx);
   Result<std::unique_ptr<exec::Operator>> root =
-      Lower(q, plan, ctx->scan_parallelism(), ctx);
+      Lower(q, plan, ctx);
   Result<std::vector<Oid>> result =
       root.ok() ? exec::CollectOids(**root, ctx) : root.status();
   if (result.ok()) {
@@ -697,7 +683,7 @@ Result<std::string> QueryEngine::ExplainAnalyze(const Query& q,
   KIMDB_ASSIGN_OR_RETURN(QueryPlan plan, Plan(q));
   RecordPlanOutcome(plan, ctx);
   Result<std::unique_ptr<exec::Operator>> root =
-      Lower(q, plan, ctx->scan_parallelism(), ctx);
+      Lower(q, plan, ctx);
   Result<std::vector<Oid>> rows =
       root.ok() ? exec::CollectOids(**root, ctx) : root.status();
   if (rows.ok()) {

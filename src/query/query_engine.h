@@ -50,7 +50,7 @@ QueryStats StatsFromExecContext(const exec::ExecContext& ctx);
 /// expression hops resolve each referenced object to the version visible
 /// at read_ts (ObjectStore::GetSharedSnapshot). `hop_memo`, when set,
 /// points at the batch-scoped dereference memo of the evaluating context
-/// (batch mode only -- see ExecContext::LookupHop).
+/// (see ExecContext::LookupHop).
 struct ReadView {
   bool snapshot = false;
   uint64_t read_ts = 0;
@@ -90,10 +90,9 @@ struct QueryPlan {
 /// Plans and runs queries by lowering plans onto the pull-based operator
 /// pipeline in src/exec: index selection (single-class / class-hierarchy /
 /// nested indexes) becomes an IndexScan, scope scans become
-/// ExtentScan/HierarchyScan (or ParallelExtentScan when the ExecContext
-/// asks for scan parallelism), and predicates -- existential path
-/// semantics, late-bound method calls -- run inside Filter or are pushed
-/// into scan workers.
+/// ExtentScan/HierarchyScan, and predicates -- existential path
+/// semantics, late-bound method calls -- run inside Filter or are fused
+/// into the scan below it.
 class QueryEngine {
  public:
   QueryEngine(ObjectStore* store, IndexManager* indexes,
@@ -122,21 +121,20 @@ class QueryEngine {
   /// Plans without executing (EXPLAIN).
   Result<QueryPlan> Plan(const Query& q) const;
 
-  /// Lowers a plan to its operator tree. `parallelism` > 1 lowers
-  /// non-index scans to ParallelExtentScan with that many workers. When
-  /// `ctx` carries an armed snapshot and any scope class may hold version
-  /// chains, an index plan falls back to a (version-resolving) scan:
-  /// indexes reflect write-time state, not the snapshot.
+  /// Lowers a plan to its operator tree. When `ctx` carries an armed
+  /// snapshot and any scope class may hold version chains, an index plan
+  /// falls back to a (version-resolving) scan: indexes reflect write-time
+  /// state, not the snapshot.
   Result<std::unique_ptr<exec::Operator>> Lower(
-      const Query& q, const QueryPlan& plan, size_t parallelism = 1,
+      const Query& q, const QueryPlan& plan,
       const exec::ExecContext* ctx = nullptr) const;
 
   /// Runs the query; returns matching OIDs.
   Result<std::vector<Oid>> Execute(const Query& q,
                                    QueryStats* stats = nullptr) const;
 
-  /// Runs the query under a caller-provided context (budget, trace,
-  /// scan-parallelism knob, unified counters).
+  /// Runs the query under a caller-provided context (budget, snapshot,
+  /// EXPLAIN ANALYZE spans, unified counters).
   Result<std::vector<Oid>> Execute(const Query& q,
                                    exec::ExecContext* ctx) const;
 

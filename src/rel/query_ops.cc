@@ -7,9 +7,9 @@ namespace kimdb {
 namespace rel {
 
 // Each entry point lowers to a small operator tree (rel_operators.h) and
-// drives it with exec::ForEachRow, so the relational surface keeps its
-// callback-style API while the execution itself is the shared Volcano
-// substrate. `ctx` is optional for callers that only want results.
+// drives it with exec::ForEachRowBatched, so the relational surface keeps
+// its callback-style API while the execution itself is the shared batched
+// Volcano substrate. `ctx` is optional for callers that only want results.
 
 namespace {
 
@@ -19,7 +19,7 @@ Status DriveJoin(exec::Operator& root, exec::ExecContext* ctx, size_t split,
                  const JoinConsumer& fn) {
   exec::ExecContext local;
   if (ctx == nullptr) ctx = &local;
-  return exec::ForEachRow(root, ctx, [&](exec::Row& row) {
+  return exec::ForEachRowBatched(root, ctx, [&](exec::Row& row) {
     Tuple lt(row.tuple.begin(),
              row.tuple.begin() + static_cast<ptrdiff_t>(split));
     Tuple rt(row.tuple.begin() + static_cast<ptrdiff_t>(split),
@@ -36,7 +36,7 @@ Status Select(const Relation& rel, const TuplePredicate& pred,
   exec::ExecContext local;
   if (ctx == nullptr) ctx = &local;
   RelScan scan(&rel, &pred);
-  return exec::ForEachRow(scan, ctx, [&](exec::Row& row) {
+  return exec::ForEachRowBatched(scan, ctx, [&](exec::Row& row) {
     return fn(row.tuple);
   });
 }
@@ -51,7 +51,7 @@ Status SelectEq(const Relation& rel, std::string_view column,
   if (ctx == nullptr) ctx = &local;
   if (RelIndex* idx = rel.FindIndex(column)) {
     RelIndexLookup lookup(&rel, idx, key, std::string(column));
-    return exec::ForEachRow(lookup, ctx, [&](exec::Row& row) {
+    return exec::ForEachRowBatched(lookup, ctx, [&](exec::Row& row) {
       return fn(row.tuple);
     });
   }

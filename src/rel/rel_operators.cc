@@ -1,5 +1,6 @@
 #include "rel/rel_operators.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace kimdb {
@@ -25,21 +26,26 @@ void Concat(const Tuple& left, const Tuple& right, Tuple* out) {
 
 // --- RelScan ---------------------------------------------------------------
 
-Status RelScan::OpenImpl(exec::ExecContext* ctx) {
+Status RelScan::OpenImpl(exec::ExecContext*) {
   KIMDB_ASSIGN_OR_RETURN(pages_, rel_->Pages());
   page_idx_ = 0;
   buf_.clear();
   buf_pos_ = 0;
-  if (ctx->trace_enabled()) {
-    ctx->Trace("RelScan open " + rel_->name() + ": " +
-               std::to_string(pages_.size()) + " pages");
-  }
   return Status::OK();
 }
 
-Result<bool> RelScan::NextImpl(exec::ExecContext* ctx, exec::Row* row) {
-  while (buf_pos_ >= buf_.size()) {
-    if (page_idx_ >= pages_.size()) return false;
+Result<size_t> RelScan::NextBatchImpl(exec::ExecContext* ctx,
+                                      std::vector<exec::Row>* out) {
+  while (out->size() < exec::kBatchSize) {
+    if (buf_pos_ < buf_.size()) {
+      size_t take =
+          std::min(exec::kBatchSize - out->size(), buf_.size() - buf_pos_);
+      for (size_t i = 0; i < take; ++i) {
+        out->emplace_back().tuple = std::move(buf_[buf_pos_++]);
+      }
+      continue;
+    }
+    if (page_idx_ >= pages_.size()) break;
     KIMDB_RETURN_IF_ERROR(ctx->CheckBudget());
     buf_.clear();
     buf_pos_ = 0;
@@ -59,10 +65,7 @@ Result<bool> RelScan::NextImpl(exec::ExecContext* ctx, exec::Row* row) {
     ctx->tuples_scanned.fetch_add(scanned, std::memory_order_relaxed);
     ctx->predicates_evaluated.fetch_add(evaluated, std::memory_order_relaxed);
   }
-  row->oid = kNilOid;
-  row->obj.reset();
-  row->tuple = std::move(buf_[buf_pos_++]);
-  return true;
+  return out->size();
 }
 
 void RelScan::CloseImpl(exec::ExecContext*) {
@@ -86,22 +89,20 @@ Status RelIndexLookup::OpenImpl(exec::ExecContext* ctx) {
   rids_ = index_->LookupEq(key_);
   ctx->index_candidates.fetch_add(rids_.size(), std::memory_order_relaxed);
   pos_ = 0;
-  if (ctx->trace_enabled()) {
-    ctx->Trace(Describe() + ": " + std::to_string(rids_.size()) +
-               " candidates");
-  }
   return Status::OK();
 }
 
-Result<bool> RelIndexLookup::NextImpl(exec::ExecContext* ctx, exec::Row* row) {
-  if (pos_ >= rids_.size()) return false;
+Result<size_t> RelIndexLookup::NextBatchImpl(exec::ExecContext* ctx,
+                                             std::vector<exec::Row>* out) {
+  if (pos_ >= rids_.size()) return 0;
   KIMDB_RETURN_IF_ERROR(ctx->CheckBudget());
-  KIMDB_ASSIGN_OR_RETURN(Tuple t, rel_->Get(rids_[pos_++]));
-  ctx->objects_fetched.fetch_add(1, std::memory_order_relaxed);
-  row->oid = kNilOid;
-  row->obj.reset();
-  row->tuple = std::move(t);
-  return true;
+  size_t take = std::min(exec::kBatchSize, rids_.size() - pos_);
+  for (size_t i = 0; i < take; ++i) {
+    KIMDB_ASSIGN_OR_RETURN(out->emplace_back().tuple,
+                           rel_->Get(rids_[pos_++]));
+  }
+  ctx->objects_fetched.fetch_add(take, std::memory_order_relaxed);
+  return out->size();
 }
 
 void RelIndexLookup::CloseImpl(exec::ExecContext*) {
@@ -109,32 +110,54 @@ void RelIndexLookup::CloseImpl(exec::ExecContext*) {
   pos_ = 0;
 }
 
+// --- LeftInput ---------------------------------------------------------------
+
+Status LeftInput::Open(exec::ExecContext* ctx) {
+  batch_.clear();
+  pos_ = 0;
+  done_ = false;
+  return op_->Open(ctx);
+}
+
+void LeftInput::Close(exec::ExecContext* ctx) {
+  op_->Close(ctx);
+  batch_.clear();
+  pos_ = 0;
+}
+
+Result<bool> LeftInput::Next(exec::ExecContext* ctx, Tuple* t) {
+  if (pos_ >= batch_.size()) {
+    if (done_) return false;
+    KIMDB_ASSIGN_OR_RETURN(size_t n, op_->NextBatch(ctx, &batch_));
+    pos_ = 0;
+    if (n == 0) {
+      done_ = true;  // the stream has ended: never pull the child again
+      return false;
+    }
+  }
+  *t = std::move(batch_[pos_++].tuple);
+  return true;
+}
+
 // --- NestedLoopJoinOp --------------------------------------------------------
 
 Status NestedLoopJoinOp::OpenImpl(exec::ExecContext* ctx) {
   matches_.clear();
   match_pos_ = 0;
-  left_done_ = false;
-  return left_->Open(ctx);
+  return left_.Open(ctx);
 }
 
-Result<bool> NestedLoopJoinOp::NextImpl(exec::ExecContext* ctx, exec::Row* row) {
-  for (;;) {
+Result<size_t> NestedLoopJoinOp::NextBatchImpl(exec::ExecContext* ctx,
+                                               std::vector<exec::Row>* out) {
+  KIMDB_RETURN_IF_ERROR(ctx->CheckBudget());
+  while (out->size() < exec::kBatchSize) {
     if (match_pos_ < matches_.size()) {
-      Concat(left_row_, matches_[match_pos_++], &row->tuple);
-      row->oid = kNilOid;
-      row->obj.reset();
-      return true;
+      Concat(left_row_, matches_[match_pos_++], &out->emplace_back().tuple);
+      continue;
     }
-    if (left_done_) return false;
-    exec::Row left;
-    KIMDB_ASSIGN_OR_RETURN(bool ok, left_->Next(ctx, &left));
-    if (!ok) {
-      left_done_ = true;
-      return false;
-    }
+    KIMDB_ASSIGN_OR_RETURN(bool more, left_.Next(ctx, &left_row_));
+    if (!more) break;
     KIMDB_RETURN_IF_ERROR(ctx->CheckBudget());
-    left_row_ = std::move(left.tuple);
     const Value& key = left_row_[static_cast<size_t>(left_col_)];
     // The whole point of the naive plan: re-scan the right table for every
     // left row, even when the key is null (faithful to the textbook loop).
@@ -151,10 +174,11 @@ Result<bool> NestedLoopJoinOp::NextImpl(exec::ExecContext* ctx, exec::Row* row) 
     }));
     ctx->tuples_scanned.fetch_add(scanned, std::memory_order_relaxed);
   }
+  return out->size();
 }
 
 void NestedLoopJoinOp::CloseImpl(exec::ExecContext* ctx) {
-  left_->Close(ctx);
+  left_.Close(ctx);
   matches_.clear();
   match_pos_ = 0;
 }
@@ -173,26 +197,20 @@ Status HashJoinOp::OpenImpl(exec::ExecContext* ctx) {
     return Status::OK();
   }));
   ctx->tuples_scanned.fetch_add(scanned, std::memory_order_relaxed);
-  if (ctx->trace_enabled()) {
-    ctx->Trace(Describe() + ": built " + std::to_string(table_.size()) +
-               " buckets");
-  }
-  return left_->Open(ctx);
+  return left_.Open(ctx);
 }
 
-Result<bool> HashJoinOp::NextImpl(exec::ExecContext* ctx, exec::Row* row) {
-  for (;;) {
+Result<size_t> HashJoinOp::NextBatchImpl(exec::ExecContext* ctx,
+                                         std::vector<exec::Row>* out) {
+  KIMDB_RETURN_IF_ERROR(ctx->CheckBudget());
+  while (out->size() < exec::kBatchSize) {
     if (matches_ != nullptr && match_pos_ < matches_->size()) {
-      Concat(left_row_, (*matches_)[match_pos_++], &row->tuple);
-      row->oid = kNilOid;
-      row->obj.reset();
-      return true;
+      Concat(left_row_, (*matches_)[match_pos_++], &out->emplace_back().tuple);
+      continue;
     }
     matches_ = nullptr;
-    exec::Row left;
-    KIMDB_ASSIGN_OR_RETURN(bool ok, left_->Next(ctx, &left));
-    if (!ok) return false;
-    left_row_ = std::move(left.tuple);
+    KIMDB_ASSIGN_OR_RETURN(bool more, left_.Next(ctx, &left_row_));
+    if (!more) break;
     const Value& key = left_row_[static_cast<size_t>(left_col_)];
     if (key.is_null()) continue;
     auto it = table_.find(KeyBytes(key));
@@ -200,10 +218,11 @@ Result<bool> HashJoinOp::NextImpl(exec::ExecContext* ctx, exec::Row* row) {
     matches_ = &it->second;
     match_pos_ = 0;
   }
+  return out->size();
 }
 
 void HashJoinOp::CloseImpl(exec::ExecContext* ctx) {
-  left_->Close(ctx);
+  left_.Close(ctx);
   table_.clear();
   matches_ = nullptr;
   match_pos_ = 0;
@@ -215,35 +234,35 @@ Status IndexJoinOp::OpenImpl(exec::ExecContext* ctx) {
   ctx->used_index.store(true, std::memory_order_relaxed);
   rids_.clear();
   rid_pos_ = 0;
-  return left_->Open(ctx);
+  return left_.Open(ctx);
 }
 
-Result<bool> IndexJoinOp::NextImpl(exec::ExecContext* ctx, exec::Row* row) {
-  for (;;) {
+Result<size_t> IndexJoinOp::NextBatchImpl(exec::ExecContext* ctx,
+                                          std::vector<exec::Row>* out) {
+  KIMDB_RETURN_IF_ERROR(ctx->CheckBudget());
+  while (out->size() < exec::kBatchSize) {
     if (rid_pos_ < rids_.size()) {
       KIMDB_ASSIGN_OR_RETURN(Tuple rt, right_->Get(rids_[rid_pos_++]));
       ctx->objects_fetched.fetch_add(1, std::memory_order_relaxed);
-      Concat(left_row_, rt, &row->tuple);
-      row->oid = kNilOid;
-      row->obj.reset();
-      return true;
+      Concat(left_row_, rt, &out->emplace_back().tuple);
+      continue;
     }
-    exec::Row left;
-    KIMDB_ASSIGN_OR_RETURN(bool ok, left_->Next(ctx, &left));
-    if (!ok) return false;
+    KIMDB_ASSIGN_OR_RETURN(bool more, left_.Next(ctx, &left_row_));
+    if (!more) break;
     KIMDB_RETURN_IF_ERROR(ctx->CheckBudget());
-    left_row_ = std::move(left.tuple);
     const Value& key = left_row_[static_cast<size_t>(left_col_)];
+    rids_.clear();
+    rid_pos_ = 0;
     if (key.is_null()) continue;
     ctx->index_probes.fetch_add(1, std::memory_order_relaxed);
     rids_ = index_->LookupEq(key);
     ctx->index_candidates.fetch_add(rids_.size(), std::memory_order_relaxed);
-    rid_pos_ = 0;
   }
+  return out->size();
 }
 
 void IndexJoinOp::CloseImpl(exec::ExecContext* ctx) {
-  left_->Close(ctx);
+  left_.Close(ctx);
   rids_.clear();
   rid_pos_ = 0;
 }

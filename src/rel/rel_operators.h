@@ -20,9 +20,12 @@ using TuplePredicate = std::function<bool(const Tuple&)>;
 /// engine runs on (same Operator interface, same ExecContext counters, same
 /// budget polling), so E12 compares data models rather than executors.
 /// Rows carry their payload in Row::tuple; join operators emit the
-/// concatenation left ++ right.
+/// concatenation left ++ right, in left order and, per left row, in right
+/// match order, polling the budget once per batch (and, where a left row
+/// costs a right-table scan or index probe, once per left row).
 
-/// Streams a table page by page, optionally filtering. Accounts each tuple
+/// Streams a table page by page, optionally filtering; polls the budget
+/// once per page. Accounts each tuple
 /// read on ExecContext::tuples_scanned (and predicate evaluations on
 /// predicates_evaluated when a predicate is attached).
 class RelScan : public exec::Operator {
@@ -33,7 +36,8 @@ class RelScan : public exec::Operator {
       : rel_(rel), pred_(pred) {}
 
   Status OpenImpl(exec::ExecContext* ctx) override;
-  Result<bool> NextImpl(exec::ExecContext* ctx, exec::Row* row) override;
+  Result<size_t> NextBatchImpl(exec::ExecContext* ctx,
+                               std::vector<exec::Row>* out) override;
   void CloseImpl(exec::ExecContext* ctx) override;
   std::string Describe() const override;
 
@@ -57,7 +61,8 @@ class RelIndexLookup : public exec::Operator {
         column_name_(std::move(column_name)) {}
 
   Status OpenImpl(exec::ExecContext* ctx) override;
-  Result<bool> NextImpl(exec::ExecContext* ctx, exec::Row* row) override;
+  Result<size_t> NextBatchImpl(exec::ExecContext* ctx,
+                               std::vector<exec::Row>* out) override;
   void CloseImpl(exec::ExecContext* ctx) override;
   std::string Describe() const override {
     return "RelIndexLookup(" + rel_->name() + "." + column_name_ +
@@ -73,6 +78,25 @@ class RelIndexLookup : public exec::Operator {
   size_t pos_ = 0;
 };
 
+/// A join's left input: pulled from its operator a batch at a time and
+/// handed out one tuple at a time.
+class LeftInput {
+ public:
+  explicit LeftInput(std::unique_ptr<exec::Operator> op) : op_(std::move(op)) {}
+
+  Status Open(exec::ExecContext* ctx);
+  void Close(exec::ExecContext* ctx);
+  /// Moves the next left tuple into `*t`; false at end of input.
+  Result<bool> Next(exec::ExecContext* ctx, Tuple* t);
+  const exec::Operator* op() const { return op_.get(); }
+
+ private:
+  std::unique_ptr<exec::Operator> op_;
+  std::vector<exec::Row> batch_;
+  size_t pos_ = 0;
+  bool done_ = false;
+};
+
 /// Canonical O(|L|*|R|) equality join: for every left row the right table
 /// is re-scanned in full (the naive plan E12 measures against).
 class NestedLoopJoinOp : public exec::Operator {
@@ -86,17 +110,18 @@ class NestedLoopJoinOp : public exec::Operator {
         label_(std::move(label)) {}
 
   Status OpenImpl(exec::ExecContext* ctx) override;
-  Result<bool> NextImpl(exec::ExecContext* ctx, exec::Row* row) override;
+  Result<size_t> NextBatchImpl(exec::ExecContext* ctx,
+                               std::vector<exec::Row>* out) override;
   void CloseImpl(exec::ExecContext* ctx) override;
   std::string Describe() const override {
     return "NestedLoopJoinOp(" + label_ + ")";
   }
   std::vector<const exec::Operator*> children() const override {
-    return {left_.get()};
+    return {left_.op()};
   }
 
  private:
-  std::unique_ptr<exec::Operator> left_;
+  LeftInput left_;
   const Relation* right_;
   int left_col_;
   int right_col_;
@@ -104,11 +129,10 @@ class NestedLoopJoinOp : public exec::Operator {
   Tuple left_row_;
   std::vector<Tuple> matches_;  // right matches of the current left row
   size_t match_pos_ = 0;
-  bool left_done_ = false;
 };
 
 /// Classic build/probe hash join: Open materializes the right (build)
-/// side into a hash table, Next streams the left (probe) side.
+/// side into a hash table, NextBatch streams the left (probe) side.
 class HashJoinOp : public exec::Operator {
  public:
   HashJoinOp(std::unique_ptr<exec::Operator> left, const Relation* right,
@@ -120,16 +144,17 @@ class HashJoinOp : public exec::Operator {
         label_(std::move(label)) {}
 
   Status OpenImpl(exec::ExecContext* ctx) override;
-  Result<bool> NextImpl(exec::ExecContext* ctx, exec::Row* row) override;
+  Result<size_t> NextBatchImpl(exec::ExecContext* ctx,
+                               std::vector<exec::Row>* out) override;
   void CloseImpl(exec::ExecContext* ctx) override;
   std::string Describe() const override { return "HashJoinOp(" + label_ + ")"; }
   std::vector<const exec::Operator*> children() const override {
-    return {left_.get()};
+    return {left_.op()};
   }
 
  private:
   std::unordered_map<std::string, std::vector<Tuple>> table_;
-  std::unique_ptr<exec::Operator> left_;
+  LeftInput left_;
   const Relation* right_;
   int left_col_;
   int right_col_;
@@ -152,15 +177,16 @@ class IndexJoinOp : public exec::Operator {
         label_(std::move(label)) {}
 
   Status OpenImpl(exec::ExecContext* ctx) override;
-  Result<bool> NextImpl(exec::ExecContext* ctx, exec::Row* row) override;
+  Result<size_t> NextBatchImpl(exec::ExecContext* ctx,
+                               std::vector<exec::Row>* out) override;
   void CloseImpl(exec::ExecContext* ctx) override;
   std::string Describe() const override { return "IndexJoinOp(" + label_ + ")"; }
   std::vector<const exec::Operator*> children() const override {
-    return {left_.get()};
+    return {left_.op()};
   }
 
  private:
-  std::unique_ptr<exec::Operator> left_;
+  LeftInput left_;
   const Relation* right_;
   const RelIndex* index_;
   int left_col_;

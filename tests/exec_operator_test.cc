@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
-#include <random>
 
 #include "exec/operator.h"
 #include "exec/operators.h"
@@ -65,37 +63,12 @@ class ExecOperatorTest : public ::testing::Test {
     return *oid;
   }
 
-  /// Adds `n` more vehicles (alternating Vehicle/Truck) with seeded
-  /// pseudo-random weights so parallel-vs-serial runs see many pages.
-  void Populate(int n) {
-    std::mt19937 rng(42);
-    std::uniform_int_distribution<int64_t> weight(0, 10000);
-    for (int i = 0; i < n; ++i) {
-      ClassId cls = (i % 2 == 0) ? vehicle_ : truck_;
-      std::vector<std::pair<std::string, Value>> attrs = {
-          {"Weight", Value::Int(weight(rng))},
-          {"Manufacturer", Value::Ref(i % 3 == 0 ? gm_ : toyota_)}};
-      if (cls == truck_) attrs.push_back({"Payload", Value::Int(i)});
-      Put(cls, std::move(attrs));
-    }
-  }
-
   Query HeavyQuery() const {
     Query q;
     q.target = vehicle_;
     q.predicate = Expr::Gt(Expr::Path({"Weight"}),
                            Expr::Const(Value::Int(5000)));
     return q;
-  }
-
-  std::vector<Oid> SortedRun(const Query& q, size_t parallelism) {
-    exec::ExecContext ctx(&bp_);
-    ctx.set_scan_parallelism(parallelism);
-    auto r = engine_->Execute(q, &ctx);
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    std::vector<Oid> out = r.ok() ? *r : std::vector<Oid>{};
-    std::sort(out.begin(), out.end());
-    return out;
   }
 
   std::unique_ptr<DiskManager> disk_;
@@ -125,7 +98,7 @@ TEST_F(ExecOperatorTest, ExtentScanProducesMaterializedObjects) {
   exec::ExecContext ctx(&bp_);
   exec::ExtentScan scan(store_.get(), truck_, "Truck");
   size_t rows = 0;
-  Status st = exec::ForEachRow(scan, &ctx, [&](exec::Row& row) {
+  Status st = exec::ForEachRowBatched(scan, &ctx, [&](exec::Row& row) {
     EXPECT_TRUE(row.obj.has_value());
     EXPECT_NE(row.oid, kNilOid);
     ++rows;
@@ -161,43 +134,12 @@ TEST_F(ExecOperatorTest, BudgetExceededSerialScan) {
   EXPECT_TRUE(r.status().IsDeadlineExceeded()) << r.status().ToString();
 }
 
-TEST_F(ExecOperatorTest, BudgetExceededParallelScan) {
-  Populate(64);
-  exec::ExecContext ctx(&bp_);
-  ctx.set_scan_parallelism(4);
-  ctx.set_budget(std::chrono::nanoseconds(0));
-  auto r = engine_->Execute(HeavyQuery(), &ctx);
-  ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsDeadlineExceeded()) << r.status().ToString();
-}
-
 TEST_F(ExecOperatorTest, CancellationStopsQuery) {
   exec::ExecContext ctx(&bp_);
   ctx.Cancel();
   auto r = engine_->Execute(HeavyQuery(), &ctx);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsDeadlineExceeded());
-}
-
-// --- parallel == serial -----------------------------------------------------
-
-TEST_F(ExecOperatorTest, ParallelScanMatchesSerialAcrossWorkerCounts) {
-  Populate(500);
-  Query q = HeavyQuery();
-  std::vector<Oid> serial = SortedRun(q, 1);
-  EXPECT_FALSE(serial.empty());
-  for (size_t workers : {1u, 2u, 4u}) {
-    EXPECT_EQ(SortedRun(q, workers), serial) << workers << " workers";
-  }
-}
-
-TEST_F(ExecOperatorTest, ParallelUnfilteredScanMatchesSerial) {
-  Populate(200);
-  Query q;
-  q.target = vehicle_;  // no predicate: full hierarchy extent
-  std::vector<Oid> serial = SortedRun(q, 1);
-  EXPECT_EQ(serial.size(), 204u);
-  EXPECT_EQ(SortedRun(q, 4), serial);
 }
 
 // --- unified stats ----------------------------------------------------------
@@ -286,19 +228,6 @@ TEST_F(ExecOperatorTest, PlainSelectStatementHasNoExplainFlag) {
   auto stmt = parser.ParseStatement("select Vehicle where Weight > 7500");
   ASSERT_TRUE(stmt.ok());
   EXPECT_FALSE(stmt->explain);
-}
-
-// --- trace buffer -----------------------------------------------------------
-
-TEST_F(ExecOperatorTest, TraceBufferRecordsOperatorEvents) {
-  ASSERT_TRUE(im_->CreateIndex(IndexKind::kClassHierarchy, vehicle_,
-                               {"Weight"})
-                  .ok());
-  exec::ExecContext ctx(&bp_);
-  ctx.EnableTrace();
-  auto r = engine_->Execute(HeavyQuery(), &ctx);
-  ASSERT_TRUE(r.ok());
-  EXPECT_FALSE(ctx.TraceLines().empty());
 }
 
 }  // namespace

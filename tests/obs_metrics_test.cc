@@ -187,16 +187,6 @@ TEST(ObsMetricsTest, TextAndJsonExposition) {
 
 // --- ExecContext satellites ----------------------------------------------
 
-TEST(ObsMetricsTest, TraceBufferIsCapped) {
-  exec::ExecContext ctx;
-  ctx.EnableTrace();
-  for (size_t i = 0; i < exec::ExecContext::kMaxTraceEvents + 100; ++i) {
-    ctx.Trace("event " + std::to_string(i));
-  }
-  EXPECT_EQ(ctx.TraceLines().size(), exec::ExecContext::kMaxTraceEvents);
-  EXPECT_EQ(ctx.trace_dropped(), 100u);
-}
-
 TEST(ObsMetricsTest, BudgetRearmWhileWorkersPoll) {
   // set_budget re-armed concurrently with CheckBudget readers: the
   // deadline publish must be TSan-clean and never read torn.

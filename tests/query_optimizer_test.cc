@@ -555,34 +555,47 @@ TEST_F(QueryOptimizerTest, BatchSizesAgreeAcrossBoundaries) {
   ASSERT_TRUE(
       db_->indexes().CreateIndex(IndexKind::kClassHierarchy, part, {"Key"})
           .ok());
-  auto t = db_->Begin();
-  ASSERT_TRUE(t.ok());
-  for (int i = 0; i < 259; ++i) {  // deliberately not a batch multiple
-    MustInsert(*t, i % 3 == 0 ? "SubPart" : "Part",
-               {{"Key", Value::Int(i % 40)}, {"Weight", Value::Int(i)}});
-  }
-  ASSERT_TRUE(db_->Commit(*t).ok());
+  // Scan+filter shape, index+residual-fetch shape and unfiltered scan,
+  // each checked against an oracle over the inserted objects.
+  struct Shape {
+    const char* oql;
+    bool (*matches)(int i);
+  };
+  const Shape shapes[] = {
+      {"select Part where Weight < 100", [](int i) { return i < 100; }},
+      {"select Part where Key = 5 and Weight > 50",
+       [](int i) { return i % 40 == 5 && i > 50; }},
+      {"select Part", [](int) { return true; }},
+  };
+  // Row counts one short of, at, one past and two past the fixed batch
+  // size, so extents end mid-batch, on a batch edge, and one row beyond.
+  std::vector<Oid> oids;  // oids[i] is the object with Weight i
+  for (int count : {255, 256, 257, 513}) {
+    ASSERT_EQ(exec::kBatchSize, 256u);
+    auto t = db_->Begin();
+    ASSERT_TRUE(t.ok());
+    for (int i = static_cast<int>(oids.size()); i < count; ++i) {
+      oids.push_back(
+          MustInsert(*t, i % 3 == 0 ? "SubPart" : "Part",
+                     {{"Key", Value::Int(i % 40)}, {"Weight", Value::Int(i)}}));
+    }
+    ASSERT_TRUE(db_->Commit(*t).ok());
 
-  // Scan+filter shape and index+residual-fetch shape, each at batch sizes
-  // 1 (row-at-a-time baseline), 3 (forces many short batches), 7, 256.
-  for (const char* oql :
-       {"select Part where Weight < 100",
-        "select Part where Key = 5 and Weight > 50", "select Part"}) {
-    auto q = db_->parser().ParseQuery(oql);
-    ASSERT_TRUE(q.ok()) << oql;
-    std::vector<std::vector<Oid>> results;
-    for (size_t batch : {size_t{1}, size_t{3}, size_t{7}, size_t{256}}) {
+    for (const Shape& shape : shapes) {
+      auto q = db_->parser().ParseQuery(shape.oql);
+      ASSERT_TRUE(q.ok()) << shape.oql;
       exec::ExecContext ctx(&db_->buffer_pool());
-      ctx.set_batch_size(batch);
       auto rows = db_->query_engine().Execute(*q, &ctx);
-      ASSERT_TRUE(rows.ok()) << oql << " batch=" << batch;
+      ASSERT_TRUE(rows.ok()) << shape.oql << " count=" << count;
+      std::vector<Oid> expected;
+      for (int i = 0; i < count; ++i) {
+        if (shape.matches(i)) expected.push_back(oids[static_cast<size_t>(i)]);
+      }
       std::sort(rows->begin(), rows->end());
-      results.push_back(std::move(*rows));
+      std::sort(expected.begin(), expected.end());
+      EXPECT_EQ(*rows, expected) << shape.oql << " count=" << count;
+      EXPECT_FALSE(expected.empty()) << shape.oql;
     }
-    for (size_t i = 1; i < results.size(); ++i) {
-      EXPECT_EQ(results[i], results[0]) << oql;
-    }
-    EXPECT_FALSE(results[0].empty()) << oql;
   }
 }
 
@@ -610,16 +623,13 @@ TEST_F(QueryOptimizerTest, BatchedSnapshotIgnoresConcurrentWriter) {
 
   auto q = db_->parser().ParseQuery("select Part where Key >= 0");
   ASSERT_TRUE(q.ok());
-  for (size_t batch : {size_t{1}, size_t{256}}) {
-    exec::ExecContext ctx(&db_->buffer_pool());
-    ctx.set_batch_size(batch);
-    ctx.set_snapshot(snap.read_ts());
-    auto rows = db_->query_engine().Execute(*q, &ctx);
-    ASSERT_TRUE(rows.ok()) << "batch=" << batch;
-    // The snapshot still sees all 100 original objects and none of the
-    // writer's 20, the delete included.
-    EXPECT_EQ(rows->size(), 100u) << "batch=" << batch;
-  }
+  exec::ExecContext ctx(&db_->buffer_pool());
+  ctx.set_snapshot(snap.read_ts());
+  auto rows = db_->query_engine().Execute(*q, &ctx);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  // The snapshot still sees all 100 original objects and none of the
+  // writer's 20, the delete included.
+  EXPECT_EQ(rows->size(), 100u);
 
   // A current-time batched read sees the writer's world: 100 - 1 + 20.
   exec::ExecContext now_ctx(&db_->buffer_pool());
@@ -640,7 +650,6 @@ TEST_F(QueryOptimizerTest, BudgetCancelsMidBatch) {
   auto q = db_->parser().ParseQuery("select Part where Key >= 0");
   ASSERT_TRUE(q.ok());
   exec::ExecContext ctx(&db_->buffer_pool());
-  ctx.set_batch_size(256);
   ctx.set_budget(std::chrono::nanoseconds(0));
   auto rows = db_->query_engine().Execute(*q, &ctx);
   EXPECT_FALSE(rows.ok());
@@ -649,7 +658,6 @@ TEST_F(QueryOptimizerTest, BudgetCancelsMidBatch) {
 
   // Cancellation mid-stream behaves the same.
   exec::ExecContext ctx2(&db_->buffer_pool());
-  ctx2.set_batch_size(256);
   ctx2.Cancel();
   auto rows2 = db_->query_engine().Execute(*q, &ctx2);
   EXPECT_FALSE(rows2.ok());

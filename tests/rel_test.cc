@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "rel/query_ops.h"
 #include "rel/relation.h"
@@ -34,6 +38,98 @@ class RelationTest : public ::testing::Test {
                                {"company_id", Value::Kind::kInt}});
     EXPECT_TRUE(r.ok());
     return std::move(*r);
+  }
+
+  // Batch-boundary join shape: `left` spans several pages, and each of
+  // its key-0 rows matches more right tuples than one batch holds.
+  // Left keys cycle 0..3 with every fifth key null; right has
+  // kBatchSize + 44 key-0 tuples and ten each of keys 1..3.
+  void MakeWideJoin(std::unique_ptr<Relation>* left,
+                    std::unique_ptr<Relation>* right) {
+    auto l = Relation::Create(&bp_, "l",
+                              {{"id", Value::Kind::kInt},
+                               {"key", Value::Kind::kInt},
+                               {"pad", Value::Kind::kString}});
+    auto r = Relation::Create(&bp_, "r",
+                              {{"id", Value::Kind::kInt},
+                               {"key", Value::Kind::kInt}});
+    ASSERT_TRUE(l.ok() && r.ok());
+    for (int i = 0; i < 300; ++i) {
+      Value key = i % 5 == 4 ? Value::Null() : Value::Int(i % 4);
+      ASSERT_TRUE((*l)->Insert({Value::Int(i), key,
+                                Value::Str(std::string(60, 'x'))})
+                      .ok());
+    }
+    const int wide = static_cast<int>(exec::kBatchSize) + 44;
+    for (int j = 0; j < wide + 30; ++j) {
+      int key = j < wide ? 0 : 1 + j % 3;
+      ASSERT_TRUE((*r)->Insert({Value::Int(j), Value::Int(key)}).ok());
+    }
+    auto pages = (*l)->Pages();
+    ASSERT_TRUE(pages.ok());
+    ASSERT_GE(pages->size(), 3u);
+    *left = std::move(*l);
+    *right = std::move(*r);
+  }
+
+  using Pair = std::pair<Tuple, Tuple>;
+
+  // Brute-force equality join: left rows in storage order, each followed
+  // by its right matches in storage order; null keys match nothing.
+  static std::vector<Pair> OracleJoin(const Relation& left,
+                                      const Relation& right) {
+    std::vector<Tuple> rights;
+    EXPECT_TRUE(right
+                    .ForEach([&](RecordId, const Tuple& t) {
+                      rights.push_back(t);
+                      return Status::OK();
+                    })
+                    .ok());
+    std::vector<Pair> out;
+    EXPECT_TRUE(left
+                    .ForEach([&](RecordId, const Tuple& lt) {
+                      if (lt[1].is_null()) return Status::OK();
+                      for (const Tuple& rt : rights) {
+                        if (lt[1].Compare(rt[1]) == 0) out.emplace_back(lt, rt);
+                      }
+                      return Status::OK();
+                    })
+                    .ok());
+    return out;
+  }
+
+  // Runs `join` (left.key = right.key) to completion against the oracle,
+  // then again with a zero budget armed after the first pair.
+  template <typename JoinFn>
+  void CheckJoinAcrossBatches(JoinFn join) {
+    std::unique_ptr<Relation> left, right;
+    ASSERT_NO_FATAL_FAILURE(MakeWideJoin(&left, &right));
+    ASSERT_TRUE(right->CreateIndex("key").ok());
+    std::vector<Pair> want = OracleJoin(*left, *right);
+    ASSERT_GT(want.size(), 2 * exec::kBatchSize);
+
+    std::vector<Pair> got;
+    Status st = join(*left, *right,
+                     [&](const Tuple& lt, const Tuple& rt) {
+                       got.emplace_back(lt, rt);
+                       return Status::OK();
+                     },
+                     nullptr);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(got.size(), want.size());
+    EXPECT_TRUE(got == want);
+
+    exec::ExecContext ctx;
+    size_t seen = 0;
+    st = join(*left, *right,
+              [&](const Tuple&, const Tuple&) {
+                if (seen++ == 0) ctx.set_budget(std::chrono::nanoseconds(0));
+                return Status::OK();
+              },
+              &ctx);
+    EXPECT_TRUE(st.IsDeadlineExceeded()) << st.ToString();
+    EXPECT_GE(seen, 1u);
+    EXPECT_LE(seen, exec::kBatchSize);
   }
 
   std::unique_ptr<DiskManager> disk_;
@@ -151,6 +247,30 @@ TEST_F(RelationTest, JoinsAgree) {
   EXPECT_EQ(nl.size(), 40u);  // every vehicle joins exactly one company
   EXPECT_EQ(nl, hash);
   EXPECT_EQ(nl, indexed);
+}
+
+TEST_F(RelationTest, NestedLoopJoinAcrossBatchBoundaries) {
+  CheckJoinAcrossBatches([](const Relation& l, const Relation& r,
+                            const rel::JoinConsumer& fn,
+                            exec::ExecContext* ctx) {
+    return rel::NestedLoopJoin(l, r, "key", "key", fn, ctx);
+  });
+}
+
+TEST_F(RelationTest, HashJoinAcrossBatchBoundaries) {
+  CheckJoinAcrossBatches([](const Relation& l, const Relation& r,
+                            const rel::JoinConsumer& fn,
+                            exec::ExecContext* ctx) {
+    return rel::HashJoin(l, r, "key", "key", fn, ctx);
+  });
+}
+
+TEST_F(RelationTest, IndexJoinAcrossBatchBoundaries) {
+  CheckJoinAcrossBatches([](const Relation& l, const Relation& r,
+                            const rel::JoinConsumer& fn,
+                            exec::ExecContext* ctx) {
+    return rel::IndexJoin(l, r, "key", "key", fn, ctx);
+  });
 }
 
 TEST_F(RelationTest, IndexJoinRequiresIndex) {
